@@ -32,6 +32,27 @@ if [ "${1:-}" = "--tsan" ]; then
     exit 0
 fi
 
+# ASan + UBSan mode (`scripts/check.sh --asan`): build the suites that
+# cover the sub-heap page index, the Anchorage free and defrag paths,
+# and barrier pin sets under AddressSanitizer and
+# UndefinedBehaviorSanitizer (plus libstdc++ bounds assertions) in a
+# separate tree and run just them. None of these suites is in the TSAN
+# lane; any report here is a memory or UB bug.
+if [ "${1:-}" = "--asan" ]; then
+    cmake -B build-asan -S . -DALASKA_ASAN=ON
+    cmake --build build-asan -j "$(nproc)" --target sub_heap_test \
+        --target anchorage_test --target anchorage_shard_test \
+        --target batched_defrag_test --target defrag_equivalence_test \
+        --target pin_test --target barrier_test
+    for t in sub_heap_test anchorage_test anchorage_shard_test \
+             batched_defrag_test defrag_equivalence_test pin_test \
+             barrier_test; do
+        ./build-asan/"$t"
+    done
+    echo "asan OK"
+    exit 0
+fi
+
 # Telemetry level-0 lane (`scripts/check.sh --telemetry0`): build the
 # whole tree with every count()/setGauge()/record() site compiled out
 # and run the test suite — proof that level 0 really is zero-cost and

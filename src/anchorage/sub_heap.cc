@@ -86,6 +86,7 @@ SubHeap::bumpAlloc(uint32_t id, size_t need)
         return {false, 0};
     const uint64_t addr = base_ + bump_;
     bump_ += need;
+    indexBlock(static_cast<uint32_t>(blocks_.size()), addr);
     blocks_.push_back(Block{addr, static_cast<uint32_t>(need), id});
     liveBytes_ += need;
     liveCount_++;
@@ -107,15 +108,31 @@ SubHeap::pruneClassFront(int cls)
     }
 }
 
+void
+SubHeap::indexBlock(uint32_t index, uint64_t addr)
+{
+    // Every page whose start lies above the previous block's address
+    // and at or below this one's has this block as its first.
+    const uint64_t last_page = (addr - base_) >> pageShift;
+    while (pageFirst_.size() <= last_page)
+        pageFirst_.push_back(index);
+}
+
 int
 SubHeap::findBlock(uint64_t addr) const
 {
-    auto it = std::lower_bound(
-        blocks_.begin(), blocks_.end(), addr,
-        [](const Block &b, uint64_t a) { return b.addr < a; });
-    if (it == blocks_.end() || it->addr != addr)
+    // Addresses below base_ wrap to a huge page number and miss too.
+    const uint64_t page = (addr - base_) >> pageShift;
+    if (page >= pageFirst_.size())
+        return -1; // no block starts at or above this page's start
+    // Only blocks starting inside addr's own page lie between the
+    // page's first block and addr, so the scan is page-bounded.
+    size_t i = pageFirst_[page];
+    while (i < blocks_.size() && blocks_[i].addr < addr)
+        i++;
+    if (i == blocks_.size() || blocks_[i].addr != addr)
         return -1;
-    return static_cast<int>(it - blocks_.begin());
+    return static_cast<int>(i);
 }
 
 void
@@ -246,6 +263,9 @@ SubHeap::coalesceHoles()
     if (merged == 0)
         return 0;
     blocks_.resize(w);
+    pageFirst_.clear();
+    for (size_t i = 0; i < blocks_.size(); i++)
+        indexBlock(static_cast<uint32_t>(i), blocks_[i].addr);
     // Every index changed: rebuild the free lists from scratch. The
     // reverse walk makes each class's back() (the O(1) reuse slot) the
     // lowest-addressed hole, which is also where defrag wants mutator
@@ -273,6 +293,10 @@ SubHeap::trimTop()
         // The free-list entries for popped indices go stale and are
         // pruned lazily on their next pop.
     }
+    // Pages whose first block was popped now have no block at or
+    // above their start; entries are ascending, so they are the tail.
+    while (!pageFirst_.empty() && pageFirst_.back() >= blocks_.size())
+        pageFirst_.pop_back();
     if (bump_ < old_bump) {
         // Return the reclaimed tail to the kernel (MADV_DONTNEED).
         // Dissolve any mesh sharing a frame with the tail first, or

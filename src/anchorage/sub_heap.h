@@ -14,7 +14,11 @@
  *
  * Block metadata is kept out-of-band (a sorted vector per sub-heap)
  * rather than in headers so the same code runs over real and phantom
- * address spaces; see DESIGN.md.
+ * address spaces; see DESIGN.md. A page index beside it maps each
+ * 4 KiB page of the extent to the first block starting at or above
+ * the page's start, so findBlock() — the lookup behind every free —
+ * is one index load plus a scan over the blocks of a single page,
+ * not a binary search over the whole sub-heap.
  */
 
 #ifndef ALASKA_ANCHORAGE_SUB_HEAP_H
@@ -100,7 +104,10 @@ class SubHeap
         return addr >= base_ && addr < base_ + capacity_;
     }
 
-    /** Find the index of the live block at addr; -1 if absent. */
+    /**
+     * Find the index of the block starting at addr (live or free); -1
+     * if no block starts there. O(blocks per page) via the page index.
+     */
     int findBlock(uint64_t addr) const;
 
     /**
@@ -199,7 +206,12 @@ class SubHeap
     void setMeshDirectory(MeshDirectory *dir) { meshDir_ = dir; }
 
   private:
+    /** Granularity of the page index (4 KiB). */
+    static constexpr unsigned pageShift = 12;
+
     SubHeapAlloc bumpAlloc(uint32_t id, size_t size);
+    /** Extend the page index for a block appended at index/addr. */
+    void indexBlock(uint32_t index, uint64_t addr);
     /** Drop stale indices from the front of a class list. */
     void pruneClassFront(int cls);
 
@@ -216,6 +228,15 @@ class SubHeap
     /** Address-ordered block metadata; indices are stable except for
      *  trailing pops in trimTop(). */
     std::vector<Block> blocks_;
+    /**
+     * Page index: pageFirst_[p] is the position in blocks_ of the first
+     * block whose address is at or above page p's start. It covers
+     * exactly the pages up to and including the last block's start
+     * page, so every entry is a valid index. Appended by bumpAlloc(),
+     * trimmed by trimTop(), rebuilt by coalesceHoles(); free-list
+     * reuse and claims leave the layout, and so the index, alone.
+     */
+    std::vector<uint32_t> pageFirst_;
     /** LIFO free lists of block indices, one per power-of-two class.
      *  Entries may be stale (trimmed or reused); validated on pop. */
     std::array<std::vector<uint32_t>, numClasses> freeLists_;

@@ -30,8 +30,8 @@ size_t
 PinnedSet::count() const
 {
     size_t n = 0;
-    for (uint64_t word : bits_)
-        n += static_cast<size_t>(__builtin_popcountll(word));
+    for (uint32_t id = 0; id < limit_; id++)
+        n += contains(id) ? 1 : 0;
     return n;
 }
 
@@ -451,7 +451,13 @@ Runtime::leaveExternal()
 PinnedSet
 Runtime::unifyPinSets()
 {
-    PinnedSet pinned(table_.watermark());
+    // Atomic pin counts are honored in every mode, not just the
+    // AtomicPins ablation: ConcurrentPin and scoped concurrent
+    // translation pin through the HTE state word, and a Hybrid-mode
+    // stop-the-world pass must not move objects those accessors still
+    // reference. The set reads them live per queried ID (the mover
+    // loads that entry anyway), so only the stack frames are scanned.
+    PinnedSet pinned(table_.watermark(), table_.base());
     for (const auto &thread : threads_) {
         for (const auto &frame : thread->frames) {
             for (uint32_t i = 0; i < frame.count; i++) {
@@ -460,17 +466,6 @@ Runtime::unifyPinSets()
                     pinned.add(handleId(v));
             }
         }
-    }
-    // Atomic pin counts are honored in every mode, not just the
-    // AtomicPins ablation: ConcurrentPin and scoped concurrent
-    // translation pin through the HTE state word, and a Hybrid-mode
-    // stop-the-world pass must not move objects those accessors still
-    // reference. The scan is one relaxed load per watermark entry,
-    // inside an already stopped world.
-    const uint32_t wm = table_.watermark();
-    for (uint32_t id = 0; id < wm; id++) {
-        if (table_.entry(id).atomicPinCount() > 0)
-            pinned.add(id);
     }
     return pinned;
 }

@@ -79,14 +79,26 @@ struct RuntimeConfig
 /**
  * The set of handles found pinned during a barrier.
  *
- * Backed by a bitmap sized from the handle-table watermark.
+ * Stack-frame pins are collected into a bitmap sized from the
+ * handle-table watermark. Atomic pin counts (pinned<T> /
+ * ConcurrentPin, the AtomicPins mode) are not scanned into it: every
+ * contains() reads the live entry's count instead, so a barrier costs
+ * O(pin frames), not O(handle table). The live read is never staler
+ * than a barrier-entry snapshot would be: a pin taken since the
+ * barrier began is seen, and one released since has no holder left
+ * using the pointer.
  */
 class PinnedSet
 {
   public:
     PinnedSet() = default;
-    explicit PinnedSet(uint32_t watermark)
-        : bits_((watermark + 63) / 64, 0), limit_(watermark)
+    /**
+     * @param watermark IDs at or above it are never pinned
+     * @param entries handle-table base for the live atomic-pin reads
+     */
+    PinnedSet(uint32_t watermark, const HandleTableEntry *entries)
+        : bits_((watermark + 63) / 64, 0), limit_(watermark),
+          entries_(entries)
     {}
 
     void
@@ -101,15 +113,18 @@ class PinnedSet
     {
         if (id >= limit_)
             return false;
-        return bits_[id >> 6] & (1ULL << (id & 63));
+        if (bits_[id >> 6] & (1ULL << (id & 63)))
+            return true;
+        return entries_[id].atomicPinCount() > 0;
     }
 
-    /** Number of pinned handles. */
+    /** Number of pinned handles (scans the watermark; for tests). */
     size_t count() const;
 
   private:
     std::vector<uint64_t> bits_;
     uint32_t limit_ = 0;
+    const HandleTableEntry *entries_ = nullptr;
 };
 
 /** Aggregate runtime statistics. */

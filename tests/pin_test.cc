@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "api/access.h"
 #include "core/malloc_service.h"
 #include "core/pin.h"
@@ -170,6 +173,45 @@ TEST(PinAtomicTest, AtomicModeCountsPins)
         EXPECT_FALSE(pinned.contains(id));
     });
     runtime.hfree(h);
+}
+
+TEST(PinAtomicTest, LiveAtomicPinReadsAreExactAtLargeWatermark)
+{
+    // Atomic pin counts are read live per contains(), not scanned into
+    // the set: with ~100k handles below the watermark and one pinned,
+    // contains() and count() must still see exactly that one — and
+    // exactly none once it is released, even mid-barrier.
+    MallocService service;
+    Runtime runtime(RuntimeConfig{.tableCapacity = 1u << 17,
+                                  .pinMode = PinMode::AtomicPins});
+    runtime.attachService(&service);
+    ThreadRegistration reg(runtime);
+
+    std::vector<void *> handles;
+    for (int i = 0; i < 100000; i++)
+        handles.push_back(runtime.halloc(16));
+    void *h = handles[61234];
+    const uint32_t id = handleId(reinterpret_cast<uint64_t>(h));
+    const uint32_t below = handleId(
+        reinterpret_cast<uint64_t>(handles[61233]));
+    ASSERT_GE(runtime.table().watermark(), 100000u);
+    {
+        std::optional<AtomicPin> pin(std::in_place, h);
+        runtime.barrier([&](const PinnedSet &pinned) {
+            EXPECT_TRUE(pinned.contains(id));
+            EXPECT_FALSE(pinned.contains(below));
+            EXPECT_EQ(pinned.count(), 1u);
+            pin.reset(); // released while the world is stopped
+            EXPECT_FALSE(pinned.contains(id));
+            EXPECT_EQ(pinned.count(), 0u);
+        });
+    }
+    runtime.barrier([&](const PinnedSet &pinned) {
+        EXPECT_FALSE(pinned.contains(id));
+        EXPECT_EQ(pinned.count(), 0u);
+    });
+    for (void *p : handles)
+        runtime.hfree(p);
 }
 
 } // namespace

@@ -209,4 +209,105 @@ TEST_P(SubHeapChurn, AccountingInvariants)
 INSTANTIATE_TEST_SUITE_P(Seeds, SubHeapChurn,
                          ::testing::Values(101, 202, 303));
 
+/** The reference findBlock(): a linear scan over every block. */
+int
+findBlockByScan(const SubHeap &heap, uint64_t addr)
+{
+    const auto &blocks = heap.blocks();
+    for (size_t i = 0; i < blocks.size(); i++) {
+        if (blocks[i].addr == addr)
+            return static_cast<int>(i);
+    }
+    return -1;
+}
+
+/**
+ * Differential property: the page-indexed findBlock() agrees with a
+ * linear scan under churn that exercises every index update — bumps,
+ * free-list reuse, trims and coalescing — with block sizes from 16 B
+ * to several pages, so some pages have no block starting in them.
+ */
+class SubHeapFindBlock : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(SubHeapFindBlock, MatchesLinearScan)
+{
+    PhantomAddressSpace space;
+    SubHeap heap(space, 4 << 20);
+    Rng rng(GetParam());
+    std::vector<uint64_t> live;
+    std::vector<uint64_t> freed;
+    size_t pages_without_start = 0;
+    size_t trims = 0;
+
+    auto check = [&](uint64_t addr) {
+        ASSERT_EQ(heap.findBlock(addr), findBlockByScan(heap, addr))
+            << "addr offset " << static_cast<int64_t>(addr - heap.base());
+    };
+
+    for (int step = 0; step < 6000; step++) {
+        // Alternate growing and shrinking phases, and often free the
+        // topmost live block, so trims pop the tail of the index too.
+        const double p_alloc = (step / 500) % 2 == 0 ? 0.60 : 0.35;
+        const double op = rng.real();
+        if (live.empty() || op < p_alloc) {
+            // Log-uniform sizes: mostly small, a tail past one page.
+            const size_t size = 1 + rng.below(size_t{16} << rng.below(10));
+            auto r = heap.alloc(1 + step, size);
+            if (r.ok)
+                live.push_back(r.addr);
+        } else if (op < 0.92) {
+            size_t idx = rng.below(live.size());
+            if (rng.chance(0.25)) {
+                for (size_t j = 0; j < live.size(); j++)
+                    idx = live[j] > live[idx] ? j : idx;
+            }
+            heap.free(live[idx]);
+            freed.push_back(live[idx]);
+            live[idx] = live.back();
+            live.pop_back();
+        } else if (op < 0.97) {
+            trims += heap.trimTop() > 0 ? 1 : 0;
+        } else {
+            heap.coalesceHoles();
+        }
+
+        // Point queries: block starts, interiors, freed (possibly
+        // trimmed or coalesced-away) blocks, and out-of-range addresses.
+        const auto &blocks = heap.blocks();
+        for (int q = 0; q < 8 && !blocks.empty(); q++) {
+            const Block &b = blocks[rng.below(blocks.size())];
+            check(b.addr);
+            check(b.addr + 1 + rng.below(b.size - 1)); // interior
+        }
+        if (!freed.empty())
+            check(freed[rng.below(freed.size())]);
+        check(heap.base() - SubHeap::alignment);
+        check(heap.base() - 1 - rng.below(1 << 20));
+        check(heap.base() + heap.extent());
+        check(heap.base() + heap.extent() + rng.below(1 << 20));
+        check(heap.base() + heap.capacity());
+
+        if (step % 500 == 499) {
+            // Full sweep: every 16-byte slot of the extent.
+            for (uint64_t a = heap.base(); a < heap.base() + heap.extent();
+                 a += SubHeap::alignment)
+                check(a);
+            std::vector<bool> has_start((heap.extent() + 4095) / 4096);
+            for (const Block &b : heap.blocks())
+                has_start[(b.addr - heap.base()) / 4096] = true;
+            for (bool s : has_start)
+                pages_without_start += s ? 0 : 1;
+        }
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(pages_without_start, 0u);
+    EXPECT_GT(trims, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SubHeapFindBlock,
+                         ::testing::Values(11, 12, 13, 14, 15));
+
 } // namespace
