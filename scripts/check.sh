@@ -10,7 +10,8 @@ cd "$(dirname "$0")/.."
 # TSAN mode (`scripts/check.sh --tsan`): build the concurrency suites
 # under ThreadSanitizer in a separate tree and run just them — the
 # suites that drive the epoch-scope / pin-handshake /
-# grace-deferred-reclaim protocol and the mesh/split path end to end
+# grace-deferred-reclaim protocol, the mesh/split path end to end, and
+# the lock-free page-residency bitmap's concurrent touch/discard test
 # (the full suite under TSAN is slow and mostly single-threaded). The
 # intentional mark-window copy race is whitelisted in
 # base/speculative_copy.h; anything else TSAN reports is a real
@@ -22,10 +23,11 @@ if [ "${1:-}" = "--tsan" ]; then
         handle_shard_stress_test --target epoch_grace_test \
         --target telemetry_test --target mesh_runtime_test \
         --target defrag_equivalence_test --target policy_test \
-        --target serve_test
+        --target serve_test --target page_model_test
     for t in concurrent_reloc_daemon_test handle_shard_stress_test \
              epoch_grace_test telemetry_test mesh_runtime_test \
-             defrag_equivalence_test policy_test serve_test; do
+             defrag_equivalence_test policy_test serve_test \
+             page_model_test; do
         ./build-tsan/"$t"
     done
     echo "tsan OK"
@@ -34,19 +36,20 @@ fi
 
 # ASan + UBSan mode (`scripts/check.sh --asan`): build the suites that
 # cover the sub-heap page index, the Anchorage free and defrag paths,
-# and barrier pin sets under AddressSanitizer and
-# UndefinedBehaviorSanitizer (plus libstdc++ bounds assertions) in a
-# separate tree and run just them. None of these suites is in the TSAN
-# lane; any report here is a memory or UB bug.
+# barrier pin sets and the page-residency bitmap under AddressSanitizer
+# and UndefinedBehaviorSanitizer (plus libstdc++ bounds assertions) in
+# a separate tree and run just them. Any report here is a memory or UB
+# bug.
 if [ "${1:-}" = "--asan" ]; then
     cmake -B build-asan -S . -DALASKA_ASAN=ON
     cmake --build build-asan -j "$(nproc)" --target sub_heap_test \
         --target anchorage_test --target anchorage_shard_test \
         --target batched_defrag_test --target defrag_equivalence_test \
-        --target pin_test --target barrier_test
+        --target pin_test --target barrier_test \
+        --target page_model_test
     for t in sub_heap_test anchorage_test anchorage_shard_test \
              batched_defrag_test defrag_equivalence_test pin_test \
-             barrier_test; do
+             barrier_test page_model_test; do
         ./build-asan/"$t"
     done
     echo "asan OK"

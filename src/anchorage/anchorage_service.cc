@@ -1,6 +1,7 @@
 #include "anchorage/anchorage_service.h"
 
 #include <algorithm>
+#include <array>
 #include <unordered_map>
 
 #include "base/logging.h"
@@ -628,6 +629,24 @@ AnchorageService::moveBatchLocked(BatchedPass &pass,
     // 256 KiB barrier on the mutator's alloc-miss path.
     std::vector<bool> touched(shards_.size(), false);
 
+    // Cross-heap search memo: per size class, the smallest block size
+    // whose search over the denser heaps failed since the last
+    // cross-heap placement of this barrier. A later same-class block
+    // at least that large would fail too, so its search is skipped
+    // without changing any decision. Why it holds: every shard lock is
+    // held and the world is stopped, so only this loop changes the
+    // heaps. Frees, claims and trims go only to the source, which is
+    // never a candidate again (candidates rank above it, and the rank
+    // only grows), so the candidate set only shrinks. Until the next
+    // placement no candidate changes at all: a failed cand.alloc()
+    // only prunes stale free-list entries, and the prune found none
+    // the first time round. Any placement resets every class, not just
+    // its own: a stale entry in one class's free list can name a free
+    // block of another class, so taking that block can change what
+    // another class's list offers next.
+    std::array<size_t, SubHeap::numClasses> no_dest;
+    no_dest.fill(SIZE_MAX);
+
     size_t barrier_budget = std::min(batch_bytes, pass.budget_);
     while (pass.rank_ < pass.order_.size() && pass.budget_ > 0 &&
            barrier_budget > 0) {
@@ -680,14 +699,17 @@ AnchorageService::moveBatchLocked(BatchedPass &pass,
 
             // First choice: a hole strictly below the object in its own
             // sub-heap (classic compaction). Second: any denser sub-heap
-            // in the global ranking, densest last.
+            // in the global ranking, densest last. The pop runs even when
+            // the memo will skip the second search: its cursor advance
+            // is part of the plan later blocks see.
             SubHeapAlloc dest{false, 0};
             const int dest_idx =
                 src.popLowestFreeBelow(pass.index_, blk.size, blk.addr);
+            const int cls = SubHeap::classOf(blk.size);
             if (dest_idx >= 0) {
                 src.claimBlock(dest_idx, blk.handleId, blk.size);
                 dest = {true, src.blocks()[dest_idx].addr};
-            } else {
+            } else if (blk.size < no_dest[cls]) {
                 for (size_t r2 = pass.order_.size();
                      r2-- > pass.rank_ + 1;) {
                     SubHeap &cand = heapAt(pass.order_[r2]);
@@ -705,6 +727,10 @@ AnchorageService::moveBatchLocked(BatchedPass &pass,
                         break;
                     }
                 }
+                if (dest.ok)
+                    no_dest.fill(SIZE_MAX);
+                else
+                    no_dest[cls] = blk.size;
             }
             if (!dest.ok)
                 continue;

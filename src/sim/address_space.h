@@ -34,8 +34,9 @@ namespace alaska
  * Abstract heap address space with page accounting.
  *
  * map/copy/touch/discard and rss() are safe to call concurrently: page
- * accounting is striped inside PageModel, real mappings go through the
- * (thread-safe) kernel, and phantom bases come from an atomic cursor.
+ * accounting is a lock-free bitmap inside PageModel, real mappings go
+ * through the (thread-safe) kernel, and phantom bases come from an
+ * atomic cursor.
  * unmap() must not race accesses to the region being unmapped.
  */
 class AddressSpace

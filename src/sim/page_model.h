@@ -12,12 +12,18 @@
  * stays honest.
  *
  * Thread safety: touch(), discard(), and the queries may be called
- * concurrently — the resident set is striped over cache-line-padded
- * mutexes selected by page frame, so touches from threads working in
- * different heap regions rarely share a lock. This matters because the
- * sharded Anchorage service (anchorage/anchorage_service.h) drives
- * touches from every shard concurrently, and concurrent relocation
- * campaigns copy (and therefore touch) outside any heap lock.
+ * concurrently, and none of them takes a lock. The resident set is a
+ * three-level radix bitmap over page frames (a fixed top array, then
+ * lazily created inner nodes and leaves, each published once by CAS
+ * and freed only by the destructor), and the resident count is one
+ * atomic beside it. A touch of a page that is already resident — the
+ * overwhelmingly common case, as in a kernel — is a relaxed load and a
+ * bit test; only a clear bit takes a fetch_or, whose old value decides
+ * whether the count goes up (discard mirrors this with fetch_and).
+ * This matters because the sharded Anchorage service
+ * (anchorage/anchorage_service.h) drives touches from every shard
+ * concurrently, and concurrent relocation campaigns copy (and
+ * therefore touch) outside any heap lock.
  *
  * alias()/unalias() are also safe to call concurrently with the other
  * operations: the alias map lives behind its own mutex, and the
@@ -35,7 +41,6 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace alaska
 {
@@ -44,7 +49,15 @@ namespace alaska
 class PageModel
 {
   public:
-    explicit PageModel(size_t page_size = 4096) : pageSize_(page_size) {}
+    /**
+     * Page frames below 2^frameBits are modelled: 48-bit addresses at
+     * 4 KiB pages. Touching an address past that fails an assertion.
+     */
+    static constexpr unsigned frameBits = 36;
+
+    /** @param page_size page size in bytes; must be a power of two. */
+    explicit PageModel(size_t page_size = 4096);
+    ~PageModel();
 
     PageModel(const PageModel &) = delete;
     PageModel &operator=(const PageModel &) = delete;
@@ -87,7 +100,7 @@ class PageModel
     /** Physical frame address backing the page containing addr. */
     uint64_t frameAddrOf(uint64_t addr) const
     {
-        return frameOf(addr / pageSize_) * pageSize_;
+        return frameOf(addr >> pageShift_) << pageShift_;
     }
 
     /** Resident bytes (distinct physical frames times page size). */
@@ -99,49 +112,88 @@ class PageModel
     /** True iff the page containing addr is resident. */
     bool isResident(uint64_t addr) const;
 
-    /** Forget everything. */
+    /** Forget everything. Must not race the other operations. */
     void clear();
 
   private:
-    /** Stripe count for the resident set; power of two. */
-    static constexpr uint64_t numStripes = 16;
+    /** Frames per leaf (log2): one 4 KiB leaf of bits. */
+    static constexpr unsigned leafBits = 15;
+    /** Leaves per inner node (log2). */
+    static constexpr unsigned midBits = 9;
+    /** Inner nodes in the fixed top array (log2). */
+    static constexpr unsigned topBits = frameBits - midBits - leafBits;
 
-    /**
-     * One resident-set stripe, cache-line padded so concurrent touches
-     * from threads in different stripes never share a line.
-     */
-    struct alignas(64) Stripe
+    /** 2^leafBits residency bits, one per frame. */
+    struct Leaf
     {
-        mutable std::mutex mutex;
-        std::unordered_set<uint64_t> resident;
+        std::atomic<uint64_t> words[(size_t{1} << leafBits) / 64];
     };
 
-    using AliasMap = std::unordered_map<uint64_t, uint64_t>;
-
-    Stripe &
-    stripeOf(uint64_t frame) const
+    /** 2^midBits leaf pointers; null until a frame in range is set. */
+    struct Mid
     {
-        return stripes_[frame & (numStripes - 1)];
+        std::atomic<Leaf *> leaves[size_t{1} << midBits];
+    };
+
+    /** Slot of frame's inner node in top_. */
+    static uint64_t topIndex(uint64_t frame)
+    {
+        return frame >> (midBits + leafBits);
+    }
+
+    /** Slot of frame's leaf in its inner node. */
+    static uint64_t midIndex(uint64_t frame)
+    {
+        return (frame >> leafBits) & ((uint64_t{1} << midBits) - 1);
+    }
+
+    /** The word of leaf holding frame's bit. */
+    static std::atomic<uint64_t> &wordOf(Leaf &leaf, uint64_t frame)
+    {
+        return leaf.words[(frame >> 6) &
+                          ((uint64_t{1} << (leafBits - 6)) - 1)];
     }
 
     /** Map a virtual page index to its physical frame index. */
     uint64_t frameOf(uint64_t vpage) const;
 
+    /** Page index of addr; asserts it lies inside the modelled range. */
+    uint64_t pageOf(uint64_t addr) const;
+
+    /** The leaf holding frame's bit, or nullptr if none exists yet. */
+    Leaf *findLeaf(uint64_t frame) const;
+
+    /** The leaf holding frame's bit, creating nodes on the way. */
+    Leaf *leafFor(uint64_t frame);
+
+    /** Set frame's bit, counting it if it was clear. */
+    void setResident(uint64_t frame);
+
+    /** Clear frame's bit, uncounting it if it was set. */
+    void clearResident(uint64_t frame);
+
     size_t pageSize_;
-    mutable Stripe stripes_[numStripes];
+    unsigned pageShift_ = 0;
+
+    /**
+     * Set bits across all leaves. Signed because a discard can clear a
+     * bit (and decrement) between a racing touch's fetch_or and its
+     * increment; residentPages() clamps that transient at zero.
+     */
+    std::atomic<int64_t> residentCount_{0};
+
+    /** Radix root: inner nodes, null until first needed. */
+    std::atomic<Mid *> top_[size_t{1} << topBits]{};
 
     /**
      * Virtual page -> physical frame, for aliased pages only, guarded
      * by aliasMutex_. aliasCount_ mirrors aliases_.size() so frameOf()
      * can skip the lock entirely while no aliases exist — the touch
      * fast path every non-meshing mode runs stays one atomic load.
-     * Lock order: aliasMutex_ before stripe mutexes; frameOf() drops
-     * aliasMutex_ before its caller takes a stripe lock, so the two
-     * never nest in the reverse direction.
      */
     std::atomic<size_t> aliasCount_{0};
     mutable std::mutex aliasMutex_;
-    AliasMap aliases_;
+    std::unordered_map<uint64_t, uint64_t> aliases_;
 };
 
 } // namespace alaska
